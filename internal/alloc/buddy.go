@@ -161,7 +161,9 @@ func Format(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 
 	// Carve the heap greedily into maximal aligned power-of-two blocks and
 	// push each onto its free list. Direct writes are fine here: Format runs
-	// before the arena is published, and ends with a full persist.
+	// before the arena is published. rawPush flushes the heap lines it
+	// writes — the only heap bytes Format dirties — so the metadata persist
+	// below fences everything without a flush of every heap line.
 	rel := uint64(0)
 	for rel < heapSize {
 		order := uint(bits.TrailingZeros64(rel | (1 << 62)))
@@ -176,7 +178,6 @@ func Format(dev *pmem.Device, metaOff, heapOff, heapSize uint64) *Buddy {
 	}
 	b.writeAllChecksums()
 	dev.Persist(b.logOff, MetaSize(heapSize))
-	dev.Persist(heapOff, heapSize)
 	return b
 }
 
@@ -199,7 +200,10 @@ func Validate(dev *pmem.Device, metaOff, heapOff, heapSize uint64) error {
 	return b.CheckConsistency()
 }
 
-// rawPush links a free block during Format, bypassing the redo log.
+// rawPush links a free block during Format, bypassing the redo log. It
+// flushes the heap words it writes (the block's links and the old head's
+// prev link); the caller persists the heads and order map with the rest of
+// the metadata, and that fence covers these flushes too.
 func (b *Buddy) rawPush(order uint, off uint64) {
 	headOff := b.headsOff + uint64(order)*8
 	oldHead := binary.LittleEndian.Uint64(b.dev.Bytes()[headOff:])
@@ -208,9 +212,11 @@ func (b *Buddy) rawPush(order uint, off uint64) {
 	b.dev.Write(off, w[:]) // next
 	binary.LittleEndian.PutUint64(w[:], 0)
 	b.dev.Write(off+8, w[:]) // prev
+	b.dev.Flush(off, 16)
 	if oldHead != 0 {
 		binary.LittleEndian.PutUint64(w[:], off)
 		b.dev.Write(oldHead+8, w[:])
+		b.dev.Flush(oldHead+8, 8)
 	}
 	binary.LittleEndian.PutUint64(w[:], off)
 	b.dev.Write(headOff, w[:])

@@ -72,21 +72,30 @@ func (b *Buddy) stageChecksums(batch *redoBatch) {
 }
 
 // crcThrough hashes [start, end) as it will read after the batch applies.
+// It copies the live span once and overlays the staged entries from last
+// to first, so where entries overlap the first one wins — the same answer
+// a per-byte lookup through the batch gives.
 func (b *Buddy) crcThrough(batch *redoBatch, start, end uint64) uint32 {
-	h := crc32.NewIEEE()
-	var buf [mapChunkSize]byte
-	n := 0
-	for off := start; off < end; off++ {
-		buf[n] = batch.readAt(off)
-		n++
-		if n == len(buf) {
-			h.Write(buf[:n])
-			n = 0
+	var buf [stageSpanMax]byte
+	span := buf[:end-start]
+	copy(span, b.dev.Bytes()[start:end])
+	for i := len(batch.entries) - 1; i >= 0; i-- {
+		e := &batch.entries[i]
+		if e.off >= end || e.off+uint64(e.width) <= start {
+			continue
+		}
+		for j := uint64(0); j < uint64(e.width); j++ {
+			if off := e.off + j; off >= start && off < end {
+				span[off-start] = byte(e.val >> (8 * j))
+			}
 		}
 	}
-	h.Write(buf[:n])
-	return h.Sum32()
+	return crc32.ChecksumIEEE(span)
 }
+
+// stageSpanMax is the largest region crcThrough hashes: the free-heads
+// array or one order-map chunk.
+const stageSpanMax = max(maxOrders*8, mapChunkSize)
 
 // writeAllChecksums computes and writes every checksum slot from the live
 // image, bypassing the redo log. Format uses it before the arena is

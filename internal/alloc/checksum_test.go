@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,5 +123,64 @@ func TestScrubChecksumsRepairsCorruptSlot(t *testing.T) {
 	}
 	if err := VerifyChecksums(dev, 0, MetaSize(testHeap), testHeap); err != nil {
 		t.Fatalf("after repair: %v", err)
+	}
+}
+
+// readAt and crcThroughBytewise are the original per-byte checksum
+// staging: every byte of the span is looked up through the batch, the
+// first covering entry winning. They are the oracle crcThrough must match.
+func (b *redoBatch) readAt(off uint64) byte {
+	for i := range b.entries {
+		e := &b.entries[i]
+		if off >= e.off && off < e.off+uint64(e.width) {
+			return byte(e.val >> (8 * (off - e.off)))
+		}
+	}
+	return b.dev.Bytes()[off]
+}
+
+func (b *Buddy) crcThroughBytewise(batch *redoBatch, start, end uint64) uint32 {
+	h := crc32.NewIEEE()
+	for off := start; off < end; off++ {
+		h.Write([]byte{batch.readAt(off)})
+	}
+	return h.Sum32()
+}
+
+// TestCRCThroughMatchesBytewiseOracle stages random batches of width-1 and
+// width-8 entries, clustered so they overlap each other and straddle the
+// heads and map-chunk boundaries, and requires the linear staging to hash
+// every region exactly as the per-byte oracle does.
+func TestCRCThroughMatchesBytewiseOracle(t *testing.T) {
+	dev, b := newArena(t)
+	rng := rand.New(rand.NewSource(7))
+	type region struct{ start, end uint64 }
+	regions := []region{{b.headsOff, b.headsOff + maxOrders*8}}
+	for _, c := range []uint64{0, 1, 2, mapChunks(b.mapBytes) - 1} {
+		start, end := b.chunkSpan(c)
+		regions = append(regions, region{start, end})
+	}
+	// Entries land within a few bytes of these points, so they pile up.
+	var hot []uint64
+	for _, r := range regions {
+		hot = append(hot, r.start, r.start+5, (r.start+r.end)/2, r.end-3, r.end)
+	}
+	batch := newBatch(dev, b.logOff)
+	for trial := 0; trial < 400; trial++ {
+		batch.reset()
+		for n := rng.Intn(110); n > 0; n-- {
+			off := hot[rng.Intn(len(hot))] + uint64(rng.Intn(17)) - 8
+			if rng.Intn(2) == 0 {
+				batch.stage1(off, byte(rng.Uint64()))
+			} else {
+				batch.stage8(off, rng.Uint64())
+			}
+		}
+		for _, r := range regions {
+			if got, want := b.crcThrough(batch, r.start, r.end), b.crcThroughBytewise(batch, r.start, r.end); got != want {
+				t.Fatalf("trial %d, region [%#x,%#x): crcThrough %#x, oracle %#x (%d entries)",
+					trial, r.start, r.end, got, want, len(batch.entries))
+			}
+		}
 	}
 }

@@ -101,19 +101,6 @@ func (b *redoBatch) read1(off uint64) byte {
 	return b.dev.Bytes()[off]
 }
 
-// readAt returns the byte at off as it will read once the batch applies,
-// regardless of the width of the entry covering it. Checksum staging uses
-// it to hash regions through the batch.
-func (b *redoBatch) readAt(off uint64) byte {
-	for i := range b.entries {
-		e := &b.entries[i]
-		if off >= e.off && off < e.off+uint64(e.width) {
-			return byte(e.val >> (8 * (off - e.off)))
-		}
-	}
-	return b.dev.Bytes()[off]
-}
-
 func encodeEntry(buf []byte, e redoEntry) {
 	binary.LittleEndian.PutUint64(buf[0:], e.off)
 	binary.LittleEndian.PutUint64(buf[8:], e.val)

@@ -188,8 +188,8 @@ func (s *Server) Backup(path string) (BackupReport, error) {
 	// Refused on a replica: BACKUP's delta phase taps the batchers, but a
 	// replica's writes arrive through ApplyFrame (no batcher), so the tap
 	// would miss them and the backup would be torn. Back up the primary.
-	if addr := s.redirectAddr(); addr != "" {
-		return BackupReport{}, replicaRedirectError{addr: addr}
+	if err := s.replicaRefusal(); err != nil {
+		return BackupReport{}, err
 	}
 	if err := s.beginAdmin("BACKUP"); err != nil {
 		return BackupReport{}, err
@@ -468,8 +468,8 @@ func validateBackup(path string) (*backupSummary, error) {
 func (s *Server) Restore(path string) (RestoreReport, error) {
 	// A replica's keyspace is owned by the stream; RESTORE would diverge
 	// it from the primary irrecoverably.
-	if addr := s.redirectAddr(); addr != "" {
-		return RestoreReport{}, replicaRedirectError{addr: addr}
+	if err := s.replicaRefusal(); err != nil {
+		return RestoreReport{}, err
 	}
 	if err := s.beginAdmin("RESTORE"); err != nil {
 		return RestoreReport{}, err

@@ -185,6 +185,14 @@ func TestStatsInfoRoundTripSharded(t *testing.T) {
 	sum("shard%d_batches_committed", "batches_committed")
 	sum("shard%d_batched_ops", "batched_ops")
 	sum("shard%d_pmem_fences", "pmem_fences")
+	sum("shard%d_kv_buckets", "kv_buckets")
+	sum("shard%d_kv_get_entries_walked", "kv_get_entries_walked")
+	sum("shard%d_kv_set_entries_walked", "kv_set_entries_walked")
+	for i := 0; i < n; i++ {
+		if k := fmt.Sprintf("shard%d_kv_hash", i); stats[k] != "fib-high" {
+			t.Errorf("STATS %s = %q, want fib-high", k, stats[k])
+		}
+	}
 
 	info := parseKV(t, mustCmd(t, cl, "INFO"))
 	if info["shards"] != strconv.Itoa(n) {

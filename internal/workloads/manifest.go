@@ -234,26 +234,5 @@ func (kv *KVStore) writeManifestTx(tx engine.Tx, m *Manifest) error {
 // the two would lose keys (deleted but cursor still routes reads here)
 // or duplicate them (cursor advanced but keys still present).
 func (kv *KVStore) ApplyWithManifest(ops []Op, m *Manifest) ([]bool, error) {
-	res := make([]bool, len(ops))
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		for i, op := range ops {
-			if op.Del {
-				removed, err := kv.deleteTx(tx, op.Key)
-				if err != nil {
-					return err
-				}
-				res[i] = removed
-			} else {
-				if err := kv.putTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				res[i] = true
-			}
-		}
-		return kv.writeManifestTx(tx, m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kv.applyWith(ops, func(tx engine.Tx) error { return kv.writeManifestTx(tx, m) })
 }

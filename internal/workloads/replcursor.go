@@ -77,26 +77,5 @@ func (kv *KVStore) verifyReplCursorTx(tx engine.Tx) error {
 // be empty: the transaction then just advances the cursor (a replica
 // acknowledging a frame none of whose keys land on this shard).
 func (kv *KVStore) ApplyWithCursor(ops []Op, epoch, seq uint64) ([]bool, error) {
-	res := make([]bool, len(ops))
-	err := kv.pool.Tx(func(tx engine.Tx) error {
-		for i, op := range ops {
-			if op.Del {
-				removed, err := kv.deleteTx(tx, op.Key)
-				if err != nil {
-					return err
-				}
-				res[i] = removed
-			} else {
-				if err := kv.putTx(tx, op.Key, op.Val); err != nil {
-					return err
-				}
-				res[i] = true
-			}
-		}
-		return kv.writeReplCursorTx(tx, epoch, seq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return kv.applyWith(ops, func(tx engine.Tx) error { return kv.writeReplCursorTx(tx, epoch, seq) })
 }
