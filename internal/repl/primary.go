@@ -350,8 +350,13 @@ func (p *Primary) Status() PrimaryStatus {
 // Drain blocks until every connected replica has acknowledged the log's
 // current contiguous sequence (or disconnected), or the timeout expires.
 // Graceful shutdown calls it after the batcher drain so replicas are at
-// zero lag when the primary exits.
+// zero lag when the primary exits. When an abandoned stream left
+// acknowledged frames behind (see Log.Ended), no replica can ever catch
+// up and Drain fails at once.
 func (p *Primary) Drain(timeout time.Duration) error {
+	if end, lost := p.cfg.Log.Ended(); lost > 0 {
+		return fmt.Errorf("repl: drain: %d acknowledged frame(s) past sequence %d can no longer be streamed", lost, end)
+	}
 	target := p.cfg.Log.Contiguous()
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {

@@ -333,8 +333,17 @@ func TestMovedReplyHelpers(t *testing.T) {
 	if !server.IsRetryableReply("-MOVED 1 x") || !server.IsRetryableReply("-BUSY x") {
 		t.Error("IsRetryableReply must accept -MOVED and -BUSY")
 	}
-	if server.IsRetryableReply("-READONLY pool degraded") {
-		t.Error("IsRetryableReply must not retry -READONLY")
+	for _, line := range []string{
+		"-READONLY pool degraded",
+		"-READONLY pool: degraded read-only mode: shard 0 is down: crash",
+		"-READONLY pool: degraded read-only mode: repl: stream ended by a power cut at sequence 7",
+	} {
+		if server.IsRetryableReply(line) || server.ReadonlyPrimary(line) != "" {
+			t.Errorf("%q: a plain -READONLY is neither retryable nor a redirect", line)
+		}
+	}
+	if got := server.ReadonlyPrimary("-READONLY 127.0.0.1:6390 replica; send mutations to the primary"); got != "127.0.0.1:6390" {
+		t.Errorf("ReadonlyPrimary(redirect) = %q", got)
 	}
 	if !server.IsReadonlyReply("-READONLY pool degraded") {
 		t.Error("IsReadonlyReply(-READONLY ...) = false")

@@ -99,7 +99,7 @@ func (s *Server) viewGet(sh *shard, o int, key uint64) (served, rerouted bool, v
 			s.m.readRetries.Inc()
 			continue
 		}
-		val, found, err := sh.kv.GetView(v, key)
+		val, found, walked, err := sh.kv.GetViewWalked(v, key)
 		if sh.lock.readSeq() != s0 {
 			s.m.readRetries.Inc()
 			continue
@@ -109,6 +109,7 @@ func (s *Server) viewGet(sh *shard, o int, key uint64) (served, rerouted bool, v
 			// Could be media damage — the locked verified read decides.
 			return false, false, 0, false
 		}
+		sh.getWalked.Add(walked)
 		return true, false, val, found
 	}
 	return false, false, 0, false

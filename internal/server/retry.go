@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"math/rand"
+	"net"
 	"strings"
 	"time"
 )
@@ -71,15 +72,19 @@ func IsReadonlyReply(line string) bool {
 
 // ReadonlyPrimary extracts the primary's address from a replica's
 // -READONLY redirect, or "" when the reply is a plain degraded-pool
-// refusal (no address to follow). The address is recognized as the first
-// token after the verb containing a ':' — a host:port can never be
-// mistaken for refusal prose.
+// refusal (no address to follow). The address is recognized as a first
+// token after the verb of the form host:port with a numeric port, so
+// refusal prose such as "pool: degraded read-only mode" is never taken
+// for one.
 func ReadonlyPrimary(line string) string {
 	if !IsReadonlyReply(line) {
 		return ""
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 2 || !strings.Contains(fields[1], ":") {
+	if len(fields) < 2 {
+		return ""
+	}
+	if _, port, err := net.SplitHostPort(fields[1]); err != nil || port == "" || strings.Trim(port, "0123456789") != "" {
 		return ""
 	}
 	return fields[1]

@@ -41,6 +41,11 @@ type shard struct {
 	// locked fallback).
 	view *pool.ReadView
 
+	// getWalked counts the chain entries walked by the GET attempts that
+	// served a read, on either path; striped, because every lock-free GET
+	// adds to it.
+	getWalked obs.Counter
+
 	downMu  sync.Mutex
 	downErr error
 }
