@@ -21,7 +21,7 @@
 // additionally injects crashes DURING recovery, nested to -depth, and
 // optionally replays each crash point with adversarial cache eviction:
 //
-//	corundum-torture -mode exhaust [-workload kvstore|bst|btree] [-depth K]
+//	corundum-torture -mode exhaust [-workload kvstore|allocheavy|kvbatch|bst|btree] [-depth K]
 //	                 [-steps N] [-evict-seeds N] [-workers N] [-dump-dir D]
 //
 // Faults mode drops below fail-stop: at every crash point (subsampled by
@@ -97,7 +97,7 @@ func main() {
 	seeds := flag.Int("seeds", 8, "random mode: number of independent campaigns")
 	iterations := flag.Int("iterations", 500, "random mode: transactions per campaign")
 	workers := flag.Int("workers", 0, fmt.Sprintf("goroutines (random mode: 1..%d concurrent transactions, default 1; exhaust mode: crash-point shards, default GOMAXPROCS)", torture.MaxWorkers))
-	workload := flag.String("workload", "kvstore", "exhaust mode: structure under test (kvstore | allocheavy | bst | btree)")
+	workload := flag.String("workload", "kvstore", "exhaust mode: structure under test (kvstore | allocheavy | kvbatch | bst | btree)")
 	depth := flag.Int("depth", 2, "exhaust mode: nested crashes injected during recovery (0 = none)")
 	steps := flag.Int("steps", 8, "exhaust mode: script mutations to enumerate crash points over")
 	evictSeeds := flag.Int("evict-seeds", 0, "exhaust mode: additionally replay each crash point with eviction seeds 1..N")

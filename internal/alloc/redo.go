@@ -50,6 +50,7 @@ type redoBatch struct {
 	dev     *pmem.Device
 	logOff  uint64
 	entries []redoEntry
+	enc     [logAreaSize]byte // commit's encoding of header + entries
 }
 
 func newBatch(dev *pmem.Device, logOff uint64) *redoBatch {
@@ -113,21 +114,18 @@ func (b *redoBatch) commit() {
 		return
 	}
 	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
-	// Entries and header in one contiguous region: one flush run, one fence.
-	var ebuf [entrySize]byte
-	crc := crc32.NewIEEE()
-	off := b.logOff + logHeaderSize
-	for _, e := range b.entries {
-		encodeEntry(ebuf[:], e)
-		b.dev.Write(off, ebuf[:])
-		crc.Write(ebuf[:])
-		off += entrySize
+	// Header and entries in one contiguous region: one write, one flush
+	// run, one fence.
+	n := logHeaderSize + len(b.entries)*entrySize
+	buf := b.enc[:n]
+	for i, e := range b.entries {
+		encodeEntry(buf[logHeaderSize+i*entrySize:], e)
 	}
-	var hdr [logHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(b.entries)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc.Sum32())
-	b.dev.Write(b.logOff, hdr[:])
-	b.dev.Flush(b.logOff, logHeaderSize+uint64(len(b.entries))*entrySize)
+	binary.LittleEndian.PutUint64(buf[0:], uint64(len(b.entries)))
+	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[logHeaderSize:]))
+	binary.LittleEndian.PutUint32(buf[12:], 0)
+	b.dev.Write(b.logOff, buf)
+	b.dev.Flush(b.logOff, uint64(n))
 	b.dev.Fence() // commit point
 
 	applyEntries(b.dev, b.entries)
@@ -149,21 +147,27 @@ func applyEntries(dev *pmem.Device, entries []redoEntry) {
 			panic(fmt.Sprintf("alloc: redo entry width %d", e.width))
 		}
 	}
+	flushLines(dev, len(entries), func(i int) uint64 { return entries[i].off })
+	dev.Fence()
+}
+
+// flushLines flushes the cache lines holding the n offsets off(0..n-1),
+// each line once; n is at most logCapacity.
+func flushLines(dev *pmem.Device, n int, off func(i int) uint64) {
 	var flushed [logCapacity]uint64
 	nFlushed := 0
-flushLoop:
-	for _, e := range entries {
-		line := e.off / pmem.CacheLineSize
+next:
+	for i := range n {
+		line := off(i) / pmem.CacheLineSize
 		for _, f := range flushed[:nFlushed] {
 			if f == line {
-				continue flushLoop
+				continue next
 			}
 		}
 		flushed[nFlushed] = line
 		nFlushed++
 		dev.Flush(line*pmem.CacheLineSize, pmem.CacheLineSize)
 	}
-	dev.Fence()
 }
 
 func clearLogHeader(dev *pmem.Device, logOff uint64) {

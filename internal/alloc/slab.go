@@ -3,6 +3,7 @@ package alloc
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 
 	"corundum/internal/pmem"
 )
@@ -306,11 +307,12 @@ func (b *Buddy) RetireClaims() {
 	defer pmem.ExitScope(pmem.EnterScope(pmem.ScopeAllocRedo))
 	var zero [8]byte
 	for _, blk := range b.slab.claims {
-		pos := b.slabSlotOff(blk.slot) + 8
-		b.dev.Write(pos, zero[:])
-		b.dev.Flush(pos, 8)
+		b.dev.Write(b.slabSlotOff(blk.slot)+8, zero[:])
 		b.slab.freeSlots = append(b.slab.freeSlots, blk.slot)
 	}
+	// Refill spares sit in adjacent ledger slots, so claims share lines:
+	// flush each touched line once.
+	flushLines(b.dev, len(b.slab.claims), func(i int) uint64 { return b.slabSlotOff(b.slab.claims[i].slot) + 8 })
 	b.slab.claims = b.slab.claims[:0]
 }
 
@@ -428,6 +430,16 @@ func (b *Buddy) spillClass(ci int) {
 // size, staging their carve-out and ledger entries into the caller's
 // already-open batch. Called on an allocation miss: the caller's own
 // block and the spares commit in one redo cycle.
+//
+// Spares are carved, not allocated one by one: a single aligned block
+// holding 2^k spares comes off the buddy lists and is split in place,
+// one map byte per spare marking it an allocated block of the class (the
+// granules between spares already read interior, as inside any block).
+// That stages 2^k map bytes where 2^k separate allocations would each
+// unlink and split through the free lists. A carve that cannot be served
+// — no free block that large, or no room left in the batch — halves k,
+// down to a single spare; a refill count that is not a power of two is
+// stocked by successive smaller carves.
 func (b *Buddy) slabRefillInBatch(batch *redoBatch, size uint64) []slabBlock {
 	if !b.slab.enabled {
 		return nil
@@ -438,19 +450,30 @@ func (b *Buddy) slabRefillInBatch(batch *redoBatch, size uint64) []slabBlock {
 		return nil
 	}
 	b.slab.stats.Misses++
+	want := min(b.slab.refill, b.slab.cap-len(b.slab.classes[ci]), len(b.slab.freeSlots))
 	var stocked []slabBlock
-	room := b.slab.cap - len(b.slab.classes[ci])
-	for len(stocked) < b.slab.refill && len(stocked) < room &&
-		len(b.slab.freeSlots) > len(stocked) &&
-		len(batch.entries) < logCapacity-batchHeadroom {
-		off, err := b.allocInBatch(batch, uint64(1)<<order)
-		if err != nil {
-			break // heap exhausted: the caller's block already succeeded
+	for k := bits.Len(uint(max(want, 0))) - 1; k >= 0 && len(stocked) < want; {
+		k = min(k, bits.Len(uint(want-len(stocked)))-1)
+		n := 1 << k
+		// Each spare stages a map byte and two ledger words; the batch
+		// headroom still covers the carve's own unlink and splits.
+		if len(batch.entries)+3*n > logCapacity-batchHeadroom {
+			k--
+			continue
 		}
-		slot := b.slab.freeSlots[len(b.slab.freeSlots)-1-len(stocked)]
-		batch.stage8(b.slabSlotOff(slot), off)
-		batch.stage8(b.slabSlotOff(slot)+8, slabMeta(off, order))
-		stocked = append(stocked, slabBlock{off: off, slot: slot})
+		base, err := b.allocInBatch(batch, uint64(n)<<order)
+		if err != nil {
+			k-- // heap exhausted at this size: the caller's block already succeeded
+			continue
+		}
+		for i := 0; i < n; i++ {
+			off := base + uint64(i)<<order
+			batch.stage1(b.granuleMapOff(off), byte(order))
+			slot := b.slab.freeSlots[len(b.slab.freeSlots)-1-len(stocked)]
+			batch.stage8(b.slabSlotOff(slot), off)
+			batch.stage8(b.slabSlotOff(slot)+8, slabMeta(off, order))
+			stocked = append(stocked, slabBlock{off: off, slot: slot})
+		}
 	}
 	return stocked
 }

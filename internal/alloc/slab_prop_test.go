@@ -387,3 +387,84 @@ func TestSlabConcurrentHammer(t *testing.T) {
 	}
 	p.reopen(false)
 }
+
+// TestRefillMissCarvesOneBlock pins the refill carve. A warm arena's slab
+// miss (default tuning, the journal's three seal words folded in) stocks
+// defaultSlabRefill spares cut from ONE aligned block, and its redo batch
+// holds at most 64 entries: one map byte and two ledger words per spare,
+// one unlink-and-split for the carve, the caller's block, the seal and the
+// checksums. Allocating the spares one by one staged about 100. The
+// conservation model still holds through claiming every spare and
+// freeing everything.
+func TestRefillMissCarvesOneBlock(t *testing.T) {
+	p := newPropArena(t)
+	miss := func() (off uint64, redo []uint64) {
+		t.Helper()
+		p.dev.SetOpHook(func(op pmem.Op, sc pmem.Scope, n uint64) {
+			// A redo commit is the one allocator write longer than a header.
+			if op == pmem.OpWrite && sc == pmem.ScopeAllocRedo && n > logHeaderSize {
+				redo = append(redo, (n-logHeaderSize)/entrySize)
+			}
+		})
+		defer p.dev.SetOpHook(nil)
+		off, err := p.b.AllocEx(Granule, nil, func(block uint64) []Update {
+			return []Update{{Off: block + 16, Width: 8}, {Off: block + 24, Width: 8}, {Off: block + 32, Width: 8}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.model.live[off] = Granule
+		return off, redo
+	}
+	claimAll := func() {
+		for {
+			p.model.epoch++
+			off, ok := p.b.AllocClaim(Granule, nil, 0, p.model.epoch)
+			if !ok {
+				return
+			}
+			p.dev.Fence()
+			p.b.RetireClaims()
+			p.model.live[off] = Granule
+		}
+	}
+	miss() // cold: the first carve splits the whole heap down
+	claimAll()
+	before := p.b.SlabStats()
+	_, redo := miss()
+	st := p.b.SlabStats()
+	if st.Misses-before.Misses != 1 || st.Stocked-before.Stocked != defaultSlabRefill {
+		t.Fatalf("miss stocked %d spares over %d misses, want %d over 1",
+			st.Stocked-before.Stocked, st.Misses-before.Misses, defaultSlabRefill)
+	}
+	if len(redo) != 1 {
+		t.Fatalf("miss committed %d redo batches, want 1", len(redo))
+	}
+	if redo[0] > 64 {
+		t.Errorf("miss committed %d redo entries, want <= 64", redo[0])
+	}
+	span := uint64(defaultSlabRefill) * Granule
+	var lo uint64 = 1<<64 - 1
+	for _, blk := range p.b.slab.classes[0] {
+		lo = min(lo, blk.off)
+	}
+	if (lo-p.b.heapOff)%span != 0 {
+		t.Errorf("spares start at %#x, not aligned to the %d-byte carve", lo, span)
+	}
+	for _, blk := range p.b.slab.classes[0] {
+		if blk.off < lo || blk.off >= lo+span {
+			t.Errorf("spare %#x outside the carved block [%#x,%#x)", blk.off, lo, lo+span)
+		}
+	}
+	p.deepCheck("after refill")
+	claimAll()
+	p.deepCheck("after claiming the spares")
+	for off, sz := range p.model.live {
+		if err := p.b.Free(off, sz); err != nil {
+			t.Fatal(err)
+		}
+		delete(p.model.live, off)
+	}
+	p.deepCheck("after freeing everything")
+	p.reopen(false)
+}

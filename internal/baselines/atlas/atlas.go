@@ -103,6 +103,9 @@ func (t *tx) Store(off, val uint64) error {
 	return nil
 }
 
+// LogWords is a no-op: Store already logs under this library's discipline.
+func (t *tx) LogWords([]uint64) error { return nil }
+
 func (t *tx) StoreBytes(off uint64, data []byte) error {
 	pmem.Busy(storeBookkeeping)
 	if err := t.log.Log(off, uint64(len(data))); err != nil {

@@ -118,6 +118,19 @@ func (t *tx) Store(off, val uint64) error {
 	return nil
 }
 
+// LogWords snapshots every word as one journal run: one flush pass and
+// one fence for the whole set, after which each word's Store dedups. The
+// no-dedup ablation logs on every Store anyway, so there it is a no-op.
+func (t *tx) LogWords(offs []uint64) error {
+	if t.noDedup {
+		return nil
+	}
+	if err := t.p.Writable(); err != nil {
+		return err
+	}
+	return t.j.LogWords(offs)
+}
+
 func (t *tx) StoreBytes(off uint64, data []byte) error {
 	if err := t.p.Writable(); err != nil {
 		return err

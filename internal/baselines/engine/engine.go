@@ -58,6 +58,12 @@ type Tx interface {
 	Store(off, val uint64) error
 	// StoreBytes writes an arbitrary range under the logging discipline.
 	StoreBytes(off uint64, data []byte) error
+	// LogWords announces 8-byte words the section is about to Store to,
+	// before any of those stores. An undo-log library may snapshot them
+	// all at once (one flush pass, one fence) instead of one log append
+	// per first Store; libraries whose Store already logs make it a no-op.
+	// It never changes what a later Store does, only what it costs.
+	LogWords(offs []uint64) error
 	// ReadBytes copies n bytes at off into out through the read path.
 	ReadBytes(off uint64, out []byte)
 	// SetRoot stores the pool's root slot.

@@ -25,7 +25,7 @@ func (c *PCell[T, P]) Set(j *Journal[P], val T) error {
 	if err := j.inner.DataLog(off, sizeOf[T]()); err != nil {
 		return err
 	}
-	c.value = val
+	storeAt(j.st, off, val)
 	return nil
 }
 

@@ -281,6 +281,14 @@ func bytesOf[T any](v *T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v))
 }
 
+// storeAt writes val at pool offset off in word-atomic lanes, as the
+// device's own stores are: another transaction's commit copies whole cache
+// lines when it flushes, and a plain store into a line it shares (cells of
+// neighbouring objects in one block) would race that copy.
+func storeAt[T any](st *poolState, off uint64, val T) {
+	pmem.StoreBytes(st.dev.Bytes(), off, bytesOf(&val))
+}
+
 // DeviceOf exposes the emulated device backing P's pool, for crash
 // injection in demos and tests.
 func DeviceOf[P any]() *pmem.Device { return mustState[P]().dev }

@@ -69,7 +69,7 @@ func (v *PVec[T, P]) Push(j *Journal[P], val T) error {
 	if err := j.inner.DataLog(slot, sizeOf[T]()); err != nil {
 		return err
 	}
-	*derefAt[T](j.st, slot) = val
+	storeAt(j.st, slot, val)
 	v.len++
 	return nil
 }
@@ -106,7 +106,7 @@ func (v *PVec[T, P]) Set(j *Journal[P], i int, val T) error {
 	if err := j.inner.DataLog(slot, sizeOf[T]()); err != nil {
 		return err
 	}
-	*derefAt[T](j.st, slot) = val
+	storeAt(j.st, slot, val)
 	return nil
 }
 

@@ -35,7 +35,8 @@ import (
 // Config parameterizes one exploration run.
 type Config struct {
 	// Workload selects the structure under test: "kvstore" (alias
-	// "hashmap"), "bst", or "btree".
+	// "hashmap"), "bst", or "btree"; "allocheavy" and "kvbatch" run the
+	// kvstore under the allocator-churn and group-commit scripts.
 	Workload string
 	// Steps is the number of script mutations (default 8). Total crash
 	// points grow roughly linearly with Steps.

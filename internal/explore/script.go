@@ -16,6 +16,9 @@ package explore
 type scriptOp struct {
 	del      bool
 	key, val uint64
+	// batch, when set, makes the step ONE multi-op KVStore.Apply of these
+	// ops, in order (the kvbatch workload); del/key/val are then unused.
+	batch []scriptOp
 }
 
 // buildScript returns the step sequence and models[0..steps], where
@@ -69,11 +72,73 @@ func buildChurnScript(steps int) ([]scriptOp, []map[uint64]uint64) {
 	return ops, foldModels(ops)
 }
 
+// batchBuckets and batchBucket mirror the store the kvbatch workload
+// explores (workloads.NewKVStore(p, 8), hashed fib-high), so the script
+// can place keys in shared buckets on purpose; TestKVBatchScriptShape
+// checks the mirror against a real store.
+const batchBuckets = 8
+
+func batchBucket(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> 61 }
+
+// buildBatchScript is the group-commit campaign: every step is one
+// multi-op Apply, so each crash point lands inside a batch's pre-log run
+// (the whole directory write set undo-logged under one fence) or its
+// commit. Steps alternate:
+//
+//   - even: put p, put c, put q, put r, put p again — fresh inserts, a
+//     repeated key (the second put updates an entry this same batch
+//     allocated), and p, q, r sharing one bucket, so the chain reads
+//     r → q → p;
+//   - odd: put c (in-place update of a committed entry), put x then del x
+//     (the slot word changes and changes back within the batch), del q
+//     (an interior delete: r precedes it), del r (a head delete with p
+//     behind it), put e (fresh).
+//
+// Every step leaves a fresh key behind (p and c, or e), so the models
+// stay pairwise distinct and durable-hash pruning stays sound.
+func buildBatchScript(steps int) ([]scriptOp, []map[uint64]uint64) {
+	next := uint64(1)
+	fresh := func() uint64 { next++; return next - 1 }
+	sameBucket := func(k uint64) uint64 {
+		for c := next; ; c++ {
+			if batchBucket(c) == batchBucket(k) {
+				next = max(next, c+1)
+				return c
+			}
+		}
+	}
+	ops := make([]scriptOp, steps)
+	var q, r, c uint64
+	for i := range ops {
+		v := uint64(i) * 1000
+		if i%2 == 0 {
+			p := fresh()
+			q, r = sameBucket(p), sameBucket(p)
+			c = fresh()
+			ops[i].batch = []scriptOp{
+				{key: p, val: v + 1}, {key: c, val: v + 2}, {key: q, val: v + 3},
+				{key: r, val: v + 4}, {key: p, val: v + 5},
+			}
+			continue
+		}
+		x, e := fresh(), fresh()
+		ops[i].batch = []scriptOp{
+			{key: c, val: v + 1}, {key: x, val: v + 2}, {del: true, key: x},
+			{del: true, key: q}, {del: true, key: r}, {key: e, val: v + 3},
+		}
+	}
+	return ops, foldModels(ops)
+}
+
 // scriptFor selects the step sequence for a workload name: the
-// "allocheavy" alias runs the kvstore structure under the churn script.
+// "allocheavy" alias runs the kvstore structure under the churn script,
+// "kvbatch" under the batch script.
 func scriptFor(workload string, steps int) ([]scriptOp, []map[uint64]uint64) {
-	if workload == "allocheavy" {
+	switch workload {
+	case "allocheavy":
 		return buildChurnScript(steps)
+	case "kvbatch":
+		return buildBatchScript(steps)
 	}
 	return buildScript(steps)
 }
@@ -88,10 +153,16 @@ func foldModels(ops []scriptOp) []map[uint64]uint64 {
 		for k, v := range models[i] {
 			m[k] = v
 		}
-		if op.del {
-			delete(m, op.key)
-		} else {
-			m[op.key] = op.val
+		batch := op.batch
+		if batch == nil {
+			batch = []scriptOp{op}
+		}
+		for _, o := range batch {
+			if o.del {
+				delete(m, o.key)
+			} else {
+				m[o.key] = o.val
+			}
 		}
 		models[i+1] = m
 	}

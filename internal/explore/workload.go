@@ -31,12 +31,13 @@ type workloadDef struct {
 
 func workloadFor(name string) (workloadDef, error) {
 	switch name {
-	case "kvstore", "hashmap", "allocheavy":
-		// "allocheavy" is the kvstore structure under the allocator-churn
-		// script (see buildChurnScript); scriptFor makes the swap.
+	case "kvstore", "hashmap", "allocheavy", "kvbatch":
+		// "allocheavy" and "kvbatch" are the kvstore structure under the
+		// allocator-churn and group-commit scripts (buildChurnScript,
+		// buildBatchScript); scriptFor makes the swap.
 		return workloadDef{
 			setup: func(p engine.Pool) (structure, error) {
-				kv, err := workloads.NewKVStore(p, 8)
+				kv, err := workloads.NewKVStore(p, batchBuckets)
 				return kvStructure{kv}, err
 			},
 			attach: func(p engine.Pool) (structure, error) {
@@ -65,12 +66,20 @@ func workloadFor(name string) (workloadDef, error) {
 			},
 		}, nil
 	}
-	return workloadDef{}, fmt.Errorf("explore: unknown workload %q (want kvstore, allocheavy, bst, or btree)", name)
+	return workloadDef{}, fmt.Errorf("explore: unknown workload %q (want kvstore, allocheavy, kvbatch, bst, or btree)", name)
 }
 
 type kvStructure struct{ kv *workloads.KVStore }
 
 func (s kvStructure) step(op scriptOp) error {
+	if op.batch != nil {
+		ops := make([]workloads.Op, len(op.batch))
+		for i, o := range op.batch {
+			ops[i] = workloads.Op{Del: o.del, Key: o.key, Val: o.val}
+		}
+		_, err := s.kv.Apply(ops)
+		return err
+	}
 	if op.del {
 		_, err := s.kv.Delete(op.key)
 		return err

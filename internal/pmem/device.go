@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -65,8 +66,7 @@ type Device struct {
 	ops     atomic.Uint64
 	crashAt atomic.Uint64
 
-	injectMu sync.Mutex
-	inject   func(op Op) bool
+	inject   atomic.Pointer[func(op Op) bool]
 	poisoned atomic.Bool
 
 	// media counts injected sub-fail-stop faults (torn lines, bit flips,
@@ -334,9 +334,10 @@ func (d *Device) Flush(off, n uint64) {
 		word := &d.dirty[line/64]
 		mask := uint64(1) << (line % 64)
 		if word.Load()&mask != 0 {
-			word.And(^mask)
 			if d.track {
-				d.stageLine(uint32(line))
+				d.stageLine(uint32(line), word, mask)
+			} else {
+				word.And(^mask)
 			}
 		}
 		d.prof.delay(d.prof.FlushDelay)
@@ -371,13 +372,27 @@ func (d *Device) Persist(off, n uint64) {
 	d.Fence()
 }
 
-func (d *Device) stageLine(line uint32) {
+// stageLine writes a dirty line back to the flushed-not-fenced set,
+// clearing its dirty bit (mask in *word). The bit test and the copy share
+// one critical section with every other flush and fence: a flush that
+// finds the bit already cleared must find the other flusher's copy staged
+// (or fenced) already, and a copy taken before another goroutine's flush
+// and fence of the line must not be installed after them, or persisted
+// words of that goroutine would revert. The copy goes word by word and
+// atomically, since other goroutines may be storing to other words of
+// the line meanwhile (word-atomic, see StoreBytes).
+func (d *Device) stageLine(line uint32, word *atomic.Uint64, mask uint64) {
 	start := uint64(line) * CacheLineSize
-	cp := make([]byte, CacheLineSize)
-	copy(cp, d.buf[start:start+CacheLineSize])
 	d.shadowMu.Lock()
+	defer d.shadowMu.Unlock()
+	if word.And(^mask)&mask == 0 {
+		return
+	}
+	cp := make([]byte, CacheLineSize)
+	for i := uint64(0); i < CacheLineSize; i += WordSize {
+		binary.LittleEndian.PutUint64(cp[i:], LoadWord(d.buf, start+i))
+	}
 	d.pending[line] = cp
-	d.shadowMu.Unlock()
 }
 
 // Crash simulates power loss: the live contents revert to the durable
@@ -506,9 +521,11 @@ func (d *Device) CrashWithEviction(seed int64) {
 // fn returns true the device panics with ErrInjectedCrash; harnesses
 // recover, call Crash, and exercise recovery. Pass nil to remove.
 func (d *Device) SetFaultInjector(fn func(op Op) bool) {
-	d.injectMu.Lock()
-	d.inject = fn
-	d.injectMu.Unlock()
+	if fn == nil {
+		d.inject.Store(nil)
+		return
+	}
+	d.inject.Store(&fn)
 }
 
 // OpCount reports how many injection points the device has passed: one
@@ -541,10 +558,7 @@ func (d *Device) maybeInject(op Op) {
 		d.markCrash()
 		panic(ErrInjectedCrash)
 	}
-	d.injectMu.Lock()
-	fn := d.inject
-	d.injectMu.Unlock()
-	if fn != nil && fn(op) {
+	if fn := d.inject.Load(); fn != nil && (*fn)(op) {
 		d.poisoned.Store(true)
 		d.markCrash()
 		panic(ErrInjectedCrash)

@@ -1,8 +1,11 @@
 package pmem
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +293,38 @@ func TestPersistedWritesAlwaysSurvive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFlushKeepsLatestLine: two goroutines store to different
+// words of one cache line and each persist the line after every store,
+// as concurrent transactions whose objects share a line do. A word
+// persisted by its writer must never read older on the durable image
+// afterwards: a flush of the shared line by the other goroutine must not
+// write back a copy taken before the persisted store.
+func TestConcurrentFlushKeepsLatestLine(t *testing.T) {
+	d := New(CacheLineSize, Options{TrackCrash: true})
+	const rounds = 20000
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for w := uint64(0); w < 2; w++ {
+		wg.Add(1)
+		go func(off uint64) {
+			defer wg.Done()
+			for v := uint64(1); v <= rounds; v++ {
+				StoreWord(d.Bytes(), off, v)
+				d.MarkDirty(off, WordSize)
+				d.Persist(off, WordSize)
+				if got := binary.LittleEndian.Uint64(d.DurableSnapshot()[off:]); got < v {
+					errs <- fmt.Sprintf("word %d: durable %d after persisting %d", off/WordSize, got, v)
+					return
+				}
+			}
+		}(w * WordSize)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

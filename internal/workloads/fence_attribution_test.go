@@ -8,6 +8,7 @@ import (
 	"corundum/internal/baselines/corundumeng"
 	"corundum/internal/baselines/engine"
 	"corundum/internal/pmem"
+	"corundum/internal/pool"
 )
 
 // TestSetFenceAttribution pins the fence profile of the paper's hot path:
@@ -165,5 +166,65 @@ func TestSetFenceAttributionConcurrent(t *testing.T) {
 	}
 	if got := after.ByScope[pmem.ScopeAllocRedo].Fences - before.ByScope[pmem.ScopeAllocRedo].Fences; got != 0 {
 		t.Errorf("alloc-redo fences = %d, want 0", got)
+	}
+}
+
+// TestApplyBatchFenceBudget pins the group-commit path's fence profile.
+// A 64-insert Apply into distinct buckets undo-logs its whole directory
+// write set (every slot and group-checksum word its keys hash to) as one
+// journal run, so the batch issues at most two journal fences — that run
+// and the state retire — and exactly one user-data fence, the commit. The
+// allocator fences only to refill its slab cache: one three-fence redo
+// cycle per miss, none on hits.
+func TestApplyBatchFenceBudget(t *testing.T) {
+	p, err := pool.Create("", pool.Config{Size: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	kv, err := NewKVStore(corundumeng.Wrap(p), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := func() (n uint64) {
+		for i := 0; i < p.Journals(); i++ {
+			n += p.ArenaSlabStats(i).Misses
+		}
+		return n
+	}
+	dev := p.Device()
+	used := map[uint64]bool{}
+	next := uint64(1)
+	sawMiss := false
+	for round := 0; round < 6; round++ {
+		ops := make([]Op, 0, 64)
+		for len(ops) < 64 {
+			if b := kv.Bucket(next); !used[b] {
+				used[b] = true
+				ops = append(ops, Op{Key: next, Val: next * 3})
+			}
+			next++
+		}
+		m0, before := misses(), dev.Stats()
+		if _, err := kv.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		after, miss := dev.Stats(), misses()-m0
+		delta := func(sc pmem.Scope) uint64 {
+			return after.ByScope[sc].Fences - before.ByScope[sc].Fences
+		}
+		if got := delta(pmem.ScopeJournal); got > 2 {
+			t.Errorf("round %d: journal fences = %d, want <= 2 (one pre-log run + retire)", round, got)
+		}
+		if got := delta(pmem.ScopeUserData); got != 1 {
+			t.Errorf("round %d: user-data fences = %d, want 1 (commit fence)", round, got)
+		}
+		if got := delta(pmem.ScopeAllocRedo); got != 3*miss {
+			t.Errorf("round %d: alloc-redo fences = %d with %d slab misses, want %d", round, got, miss, 3*miss)
+		}
+		sawMiss = sawMiss || miss > 0
+	}
+	if !sawMiss {
+		t.Error("no round refilled the slab cache; the refill budget went unchecked")
 	}
 }
