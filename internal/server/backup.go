@@ -493,7 +493,7 @@ func (s *Server) Restore(path string) (RestoreReport, error) {
 			bt.SetFence(func(workloads.Op) error { return errAdminBusy })
 		}
 	}
-	defer s.installFences(st.shards[:st.n], nil)
+	defer s.installFences(st.shards[:st.n], st.n, nil)
 	for i := 0; i < st.n; i++ {
 		if bt := st.shards[i].b; bt != nil {
 			if err := bt.Barrier(); err != nil {

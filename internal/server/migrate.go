@@ -113,9 +113,9 @@ func (s *Server) Reshard(newN int) error {
 	// inconsistent moment. Then publish the manifests — the durable "a
 	// migration exists" record — and only then start moving keys.
 	s.state.Store(&routeState{shards: shards, n: st.n, rs: rs})
-	s.installFences(shards, rs)
+	s.installFences(shards, st.n, rs)
 	if err := rs.Init(); err != nil {
-		s.installFences(shards, nil)
+		s.installFences(shards, st.n, nil)
 		s.state.Store(&routeState{shards: st.shards, n: st.n})
 		return fmt.Errorf("reshard: publishing migration: %w", err)
 	}
@@ -124,19 +124,28 @@ func (s *Server) Reshard(newN int) error {
 	return nil
 }
 
-// installFences points every batcher's admission check at rs (nil clears
-// them): mutations for keys owned elsewhere — or inside the in-flight
-// batch window — are refused with MovedError before they reach a store.
-func (s *Server) installFences(shards []*shard, rs *workloads.Resharder) {
+// installFences points every batcher's admission check at rs: mutations
+// for keys owned elsewhere — or inside the in-flight batch window — are
+// refused with MovedError before they reach a store. With rs nil the
+// check is the plain n-shard layout instead, never none: a mutation
+// routed under an earlier view may still sit in a batcher's queue when a
+// migration commits, and applying it at a shard that no longer owns its
+// key would lose an acknowledged write.
+func (s *Server) installFences(shards []*shard, n int, rs *workloads.Resharder) {
 	for i, sh := range shards {
 		if sh.b == nil {
 			continue
 		}
+		id := i
 		if rs == nil {
-			sh.b.SetFence(nil)
+			sh.b.SetFence(func(op workloads.Op) error {
+				if o := workloads.ShardFor(op.Key, n); o != id {
+					return workloads.MovedError{Shard: o}
+				}
+				return nil
+			})
 			continue
 		}
-		id := i
 		sh.b.SetFence(func(op workloads.Op) error { return rs.CheckWrite(id, op.Key) })
 	}
 }
@@ -248,7 +257,7 @@ func (s *Server) driveMigration(rs *workloads.Resharder, stop <-chan struct{}) {
 }
 
 // finishMigration swaps the routing view to the committed layout and
-// lifts the fences. The durable commit (config write, manifest clears)
+// narrows the fences to it. The durable commit (config write, manifest clears)
 // already happened inside rs.Run; this is the in-memory half. Shards a
 // merge retired stay in s.all — empty, live, and ready to rejoin on a
 // later grow — until Close stops them.
@@ -256,7 +265,7 @@ func (s *Server) finishMigration(rs *workloads.Resharder) {
 	_, newN := rs.Shape()
 	old := s.st()
 	s.state.Store(&routeState{shards: old.shards[:newN], n: newN})
-	s.installFences(old.shards, nil)
+	s.installFences(old.shards, newN, nil)
 }
 
 // resumeMigration restarts the driver for a migration adopted from
@@ -444,7 +453,7 @@ func (s *Server) adoptPersistentState() error {
 	if err := rs.Attach(); err != nil {
 		return err
 	}
-	s.installFences(st.shards, rs)
+	s.installFences(st.shards, oldN, rs)
 	s.state.Store(&routeState{shards: st.shards, n: oldN, rs: rs})
 	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -90,7 +91,7 @@ func TestMovedReplyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.state.Store(&routeState{shards: st.shards, n: 2, rs: rs})
-	srv.installFences(st.shards, rs)
+	srv.installFences(st.shards, 2, rs)
 	if err := rs.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,5 +168,64 @@ func TestMovedReplyDeterministic(t *testing.T) {
 	st.shards[1].lock.RUnlock()
 	if err != nil || still {
 		t.Fatalf("key %d still present at the source after the batch (err=%v)", k, err)
+	}
+}
+
+// TestStaleRoutedWriteRefusedAfterCommit: a SET routed under the
+// migration-time view can still sit in a source shard's batcher queue
+// when the migration commits. Once the layout has changed it must be
+// refused -MOVED, not applied at a shard that no longer owns its key —
+// that would acknowledge a write no later GET can find.
+func TestStaleRoutedWriteRefusedAfterCommit(t *testing.T) {
+	var pools []*pool.Pool
+	for i := 0; i < 2; i++ {
+		p, err := pool.Create("", pool.Config{Size: 16 << 20, Journals: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools = append(pools, p)
+	}
+	defer func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}()
+	srv, err := NewSharded(pools, Options{MaxBatch: 8, Buckets: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// A key shard 1 serves today; the 2->1 merge moves it to shard 0.
+	k := uint64(1)
+	for workloads.ShardFor(k, 2) != 1 {
+		k++
+	}
+	before := srv.st()
+	if err := srv.Reshard(1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Shards() != 1 {
+		if err := srv.MigrationError(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("migration never committed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The write a connection routed to shard 1 before the commit.
+	_, err = before.shards[1].b.Submit(workloads.Op{Key: k, Val: 5})
+	var moved workloads.MovedError
+	if !errors.As(err, &moved) || moved.Shard != 0 {
+		t.Fatalf("stale-routed SET at the retired shard returned %v, want moved to shard 0", err)
+	}
+	before.shards[1].lock.RLock()
+	_, found, err := before.shards[1].kv.Get(k)
+	before.shards[1].lock.RUnlock()
+	if err != nil || found {
+		t.Fatalf("the retired shard stored the stale write (found=%v, err=%v)", found, err)
 	}
 }
